@@ -1,0 +1,1 @@
+"""The ABae end-to-end benchmark; see README.md and run.py."""
