@@ -18,10 +18,9 @@ The package is organized as:
 * :mod:`repro.data` — pluggable dataset storage behind the samplers:
   dense in-memory (default), memory-mapped and chunked out-of-core
   backends with bit-identical results (see docs/DATA_BACKENDS.md);
-* :mod:`repro.kernels` — the sampler inner loops as registered kernels:
-  a pure-NumPy reference defining the bitwise contract, plus an optional
-  auto-detected numba backend (the ``kernel=`` execution hint /
-  ``REPRO_KERNEL``) that never changes results;
+* :mod:`repro.kernels` — the sampler inner loops as plain NumPy
+  functions (pool ops, bucketing, allocation spreads, bootstrap
+  resampling, minimax objectives);
 * :mod:`repro.stats`, :mod:`repro.optim` — statistics and optimization
   building blocks;
 * :mod:`repro.synth` — synthetic emulators of the paper's six datasets;

@@ -25,7 +25,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.kernels import kernel_set
+from repro.kernels import minimax_multi_objective, minimax_single_objective
 from repro.stats.sampling import proportional_integer_allocation
 
 __all__ = [
@@ -248,10 +248,9 @@ def solve_minimax_single_oracle(error_terms: np.ndarray, n2: int) -> np.ndarray:
     informative = usable.any(axis=0)
     if not informative.any():
         return np.full(num_groups, 1.0 / num_groups)
-    kernels = kernel_set()
 
     def objective(lam: np.ndarray) -> float:
-        return kernels.minimax_single_objective(
+        return minimax_single_objective(
             error_terms, usable, informative, lam, n2, _EPS
         )
 
@@ -284,10 +283,9 @@ def solve_minimax_multi_oracle(error_terms: np.ndarray, n2: int) -> np.ndarray:
     informative = np.isfinite(error_terms) & (error_terms > 0)
     if not informative.any():
         return np.full(num_groups, 1.0 / num_groups)
-    kernels = kernel_set()
 
     def objective(lam: np.ndarray) -> float:
-        return kernels.minimax_multi_objective(
+        return minimax_multi_objective(
             error_terms, informative, lam, n2, _EPS
         )
 

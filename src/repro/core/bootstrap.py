@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.results import ConfidenceInterval
 from repro.core.types import StratumSample
-from repro.kernels import kernel_set
+from repro.kernels import bootstrap_resample_stats
 from repro.stats.rng import RandomState
 
 __all__ = [
@@ -45,7 +45,6 @@ def bootstrap_estimates(
     if not samples:
         raise ValueError("bootstrap requires at least one stratum of samples")
     rng = rng or RandomState(0)
-    kernels = kernel_set()
 
     num_strata = len(samples)
     p_star = np.zeros((num_bootstrap, num_strata))
@@ -60,9 +59,7 @@ def bootstrap_estimates(
         values = np.where(sample.matches, sample.values, 0.0)
         # (num_bootstrap, n) index matrix of resampled positions.
         resample_idx = rng.integers(0, n, size=(num_bootstrap, n))
-        positives, sums = kernels.bootstrap_resample_stats(
-            matches, values, resample_idx
-        )
+        positives, sums = bootstrap_resample_stats(matches, values, resample_idx)
         p_star[:, k] = positives / n
         with np.errstate(invalid="ignore", divide="ignore"):
             mu_star[:, k] = np.where(positives > 0, sums / np.maximum(positives, 1), 0.0)
@@ -95,7 +92,6 @@ def _per_stratum_bootstrap(
     rng: RandomState,
 ) -> tuple:
     """Shared resampling core: bootstrap matrices of p*_k and mu*_k."""
-    kernels = kernel_set()
     num_strata = len(samples)
     p_star = np.zeros((num_bootstrap, num_strata))
     mu_star = np.zeros((num_bootstrap, num_strata))
@@ -106,9 +102,7 @@ def _per_stratum_bootstrap(
         matches = sample.matches.astype(float)
         values = np.where(sample.matches, sample.values, 0.0)
         resample_idx = rng.integers(0, n, size=(num_bootstrap, n))
-        positives, sums = kernels.bootstrap_resample_stats(
-            matches, values, resample_idx
-        )
+        positives, sums = bootstrap_resample_stats(matches, values, resample_idx)
         p_star[:, k] = positives / n
         mu_star[:, k] = np.where(positives > 0, sums / np.maximum(positives, 1), 0.0)
     return p_star, mu_star

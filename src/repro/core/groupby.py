@@ -49,9 +49,8 @@ from repro.engine.config import (
     UNSET,
     ExecutionConfig,
     resolve_execution_config,
-    resolve_kernel_set,
 )
-from repro.kernels import KernelSet, kernel_set
+from repro.kernels import bucket_by_stratum, filter_undrawn
 from repro.oracle.base import evaluate_oracle_batch
 from repro.core.estimators import (
     combine_estimates,
@@ -223,22 +222,16 @@ def _draws_to_stratum_samples(
     group: Hashable,
     assignment: np.ndarray,
     num_strata: int,
-    kernels: Optional[KernelSet] = None,
 ) -> List[StratumSample]:
     """Bucket labelled draws into strata of one stratification, for one group.
 
     One stratum-assignment gather, one memoized group membership column,
-    and the ``bucket_by_stratum`` kernel (see :mod:`repro.kernels`) —
-    draw order is preserved within each stratum, exactly as the
-    per-record append loop produced.
+    and :func:`repro.kernels.bucket_by_stratum` — draw order is preserved
+    within each stratum, exactly as the per-record append loop produced.
     """
-    if kernels is None:
-        kernels = kernel_set()
     indices, _, values = log.columns()
     matched = log.membership(group)
-    buckets = kernels.bucket_by_stratum(
-        assignment, indices, matched, values, num_strata
-    )
+    buckets = bucket_by_stratum(assignment, indices, matched, values, num_strata)
     return [
         StratumSample(stratum=k, indices=idx, matches=match, values=vals)
         for k, (idx, match, vals) in enumerate(buckets)
@@ -250,14 +243,11 @@ def _per_group_estimates(
     groups: Sequence[Hashable],
     assignment: np.ndarray,
     num_strata: int,
-    kernels: Optional[KernelSet] = None,
 ) -> Dict[Hashable, List]:
     """Per-group, per-stratum plug-in estimates from labelled draws."""
     estimates: Dict[Hashable, List] = {}
     for group in groups:
-        samples = _draws_to_stratum_samples(
-            log, group, assignment, num_strata, kernels=kernels
-        )
+        samples = _draws_to_stratum_samples(log, group, assignment, num_strata)
         estimates[group] = estimate_all_strata(samples)
     return estimates
 
@@ -319,7 +309,6 @@ def run_groupby_single_oracle(
         parallel_backend=parallel_backend,
     )
     batch_size = config.batch_size
-    kernels = resolve_kernel_set(config)
     _validate_allocation_method(allocation_method)
     if not groups:
         raise ValueError("run_groupby_single_oracle requires at least one group")
@@ -363,9 +352,7 @@ def run_groupby_single_oracle(
 
     # ---- Per-stratification estimates and within-stratification allocations -----
     per_strat_estimates = [
-        _per_group_estimates(
-            log, group_keys, assignments[l], num_strata, kernels=kernels
-        )
+        _per_group_estimates(log, group_keys, assignments[l], num_strata)
         for l in range(num_groups)
     ]
     within_allocations = []
@@ -395,7 +382,7 @@ def run_groupby_single_oracle(
         # Dataset-length membership mask instead of np.isin per stratum:
         # one O(1) gather per candidate rather than a sort per stratum.
         fresh_per_stratum = [
-            kernels.filter_undrawn(stratification.stratum(k), drawn_mask)
+            filter_undrawn(stratification.stratum(k), drawn_mask)
             for k in range(num_strata)
         ]
         capacities = [int(fresh.size) for fresh in fresh_per_stratum]
@@ -416,7 +403,7 @@ def run_groupby_single_oracle(
         samples_per_l = []
         for l in range(num_groups):
             samples = _draws_to_stratum_samples(
-                log, group, assignments[l], num_strata, kernels=kernels
+                log, group, assignments[l], num_strata
             )
             estimates = estimate_all_strata(samples)
             stage_draws = [s.num_draws for s in samples]

@@ -34,7 +34,7 @@ from repro.core.estimators import (
     estimate_arrays,
 )
 from repro.core.types import SamplingBudget, StratumSample
-from repro.kernels import KernelSet, kernel_set
+from repro.kernels import floor_spread, priority_core
 from repro.engine.pipeline import (
     AllocationPolicy,
     PipelineState,
@@ -184,10 +184,7 @@ class UniformEstimator(StratifiedEstimator):
 # ---------------------------------------------------------------------------
 
 
-def marginal_variance_reduction(
-    samples: Sequence[StratumSample],
-    kernels: Optional[KernelSet] = None,
-) -> np.ndarray:
+def marginal_variance_reduction(samples: Sequence[StratumSample]) -> np.ndarray:
     """Priority score per stratum: estimated variance removed by one more draw.
 
     The estimator's variance has two per-stratum components:
@@ -208,13 +205,10 @@ def marginal_variance_reduction(
     exploration bonus equal to the largest known priority.
 
     The estimate columns come from :func:`estimate_arrays` (no per-call
-    object/listcomp churn) and the element-wise core dispatches through
-    the ``priority_core`` kernel; the two float reductions (``p_all``,
-    ``mu_all``) stay in NumPy here so every backend shares them
-    bit-for-bit (see :mod:`repro.kernels`).
+    object/listcomp churn) and the element-wise core is
+    :func:`repro.kernels.priority_core`; the two float reductions
+    (``p_all``, ``mu_all``) happen here.
     """
-    if kernels is None:
-        kernels = kernel_set()
     p, mu, sigma, draws = estimate_arrays(samples)
     p_all = p.sum()
     if p_all == 0:
@@ -222,7 +216,7 @@ def marginal_variance_reduction(
         return np.ones(len(samples))
     w = p / p_all
     mu_all = float(np.dot(w, mu))
-    priority = kernels.priority_core(p, sigma, mu, draws, float(p_all), mu_all)
+    priority = priority_core(p, sigma, mu, draws, float(p_all), mu_all)
 
     unexplored = draws == 0
     if unexplored.any():
@@ -259,8 +253,7 @@ class SequentialAllocationPolicy(AllocationPolicy):
         if state.spent >= state.budget:
             return None
         this_batch = min(self.reallocation_batch, state.budget - state.spent)
-        kernels = state.pool.kernels
-        priorities = marginal_variance_reduction(state.samples, kernels=kernels)
+        priorities = marginal_variance_reduction(state.samples)
         # Mask out exhausted strata.
         priorities[state.pool.remaining == 0] = 0.0
         total_priority = priorities.sum()
@@ -269,7 +262,7 @@ class SequentialAllocationPolicy(AllocationPolicy):
         # Spread the batch proportionally to priority rather than sending it
         # all to the argmax, so one noisy priority estimate cannot distort
         # the allocation for a whole batch.
-        return kernels.floor_spread(priorities / total_priority, this_batch)
+        return floor_spread(priorities / total_priority, this_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +325,7 @@ class UntilWidthAllocationPolicy(AllocationPolicy):
         )
         if state.ci.width <= self.target_width or state.spent >= state.budget:
             return None
-        kernels = state.pool.kernels
-        priorities = marginal_variance_reduction(state.samples, kernels=kernels)
+        priorities = marginal_variance_reduction(state.samples)
         priorities[state.pool.remaining == 0] = 0.0
         total_priority = priorities.sum()
         if total_priority == 0:
@@ -341,7 +333,7 @@ class UntilWidthAllocationPolicy(AllocationPolicy):
         # Spread the batch across strata proportionally to priority, so a
         # single noisy priority estimate cannot hog the whole batch.
         batch = min(self.reallocation_batch, state.budget - state.spent)
-        return kernels.floor_spread(priorities / total_priority, batch)
+        return floor_spread(priorities / total_priority, batch)
 
 
 class UntilWidthEstimator(StratifiedEstimator):

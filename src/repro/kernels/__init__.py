@@ -1,44 +1,205 @@
-"""repro.kernels — registered sampler inner-loop kernels with dispatch.
+"""repro.kernels — the sampler inner loops as plain NumPy functions.
 
-The engine's per-draw hot loops (stratum pool gathers and mask updates,
-the sequential policy's reallocation priority, group-by bucketing,
-allocation integerization, bootstrap resampling, minimax objectives)
-live here as named kernels with a pure-NumPy reference implementation
-and, when numba is importable, jitted native bodies for the bit-exact
-subset.  Resolve a :class:`KernelSet` once and call kernels
-attribute-style:
+The engine's per-draw hot loops live here: stratum pool gathers and mask
+updates, the sequential policy's reallocation priority, group-by
+bucketing, allocation integerization, bootstrap resampling and the
+minimax objectives.  Callers import and call them directly.  Keep them
+free of convenience branches — argument validation belongs to the
+callers, which already own the error contracts; a kernel is the inner
+loop only.
 
-    from repro.kernels import kernel_set
-    kernels = kernel_set("auto")        # or "numpy" / "numba"
-    fresh = kernels.gather_candidates(stratum, available)
-
-Backend choice never changes results — see docs/PERFORMANCE.md for the
-dispatch rules and the bit-identity contract.
+The float reductions (``bootstrap_resample_stats``, the minimax
+objectives, ``largest_remainder``) use NumPy's pairwise ``sum`` and
+``dot``.  That accumulation order is part of the bit-identical
+fingerprint contract in ``tests/harness.py``: a rewrite that reduces in
+another order (a sequential loop, say) changes results in the last bits.
 """
 
-from repro.kernels.registry import (
-    KERNEL_BACKENDS,
-    KERNEL_ENV_VAR,
-    KernelSet,
-    kernel_set,
-    numba_available,
-    register_kernel,
-    registered_kernels,
-    resolve_backend_name,
-    validate_kernel_hint,
-)
+from __future__ import annotations
 
-# Importing the reference module registers every kernel's NumPy body.
-from repro.kernels import reference  # noqa: F401  (registration side effect)
+from typing import List, Tuple
+
+import numpy as np
 
 __all__ = [
-    "KERNEL_BACKENDS",
-    "KERNEL_ENV_VAR",
-    "KernelSet",
-    "kernel_set",
-    "numba_available",
-    "register_kernel",
-    "registered_kernels",
-    "resolve_backend_name",
-    "validate_kernel_hint",
+    "gather_candidates",
+    "mark_drawn",
+    "filter_undrawn",
+    "bucket_by_stratum",
+    "priority_core",
+    "floor_spread",
+    "largest_remainder",
+    "bootstrap_resample_stats",
+    "minimax_single_objective",
+    "minimax_multi_objective",
 ]
+
+
+def gather_candidates(stratum: np.ndarray, available: np.ndarray) -> np.ndarray:
+    """Record indices of a stratum not yet drawn, in ascending order.
+
+    ``stratum`` is the stratum's sorted, read-only index view;
+    ``available`` the aligned boolean availability mask
+    (see :class:`repro.engine.pipeline.StratumPool`).
+    """
+    return stratum[available]
+
+
+def mark_drawn(
+    stratum: np.ndarray, available: np.ndarray, drawn: np.ndarray
+) -> int:
+    """Flip the availability mask off for ``drawn``; returns the count.
+
+    ``stratum`` is sorted, so each drawn record's mask position is a
+    binary search (``searchsorted``).  Mutates ``available`` in place.
+    """
+    positions = np.searchsorted(stratum, drawn)
+    available[positions] = False
+    return int(drawn.shape[0])
+
+
+def filter_undrawn(stratum: np.ndarray, drawn_mask: np.ndarray) -> np.ndarray:
+    """Stratum members not yet drawn, via a dataset-length drawn mask.
+
+    The group-by Stage 2 "fresh candidate" filter: one O(1) gather per
+    candidate instead of a sort-based ``np.isin``.
+    """
+    return stratum[~drawn_mask[stratum]]
+
+
+def bucket_by_stratum(
+    assignment: np.ndarray,
+    indices: np.ndarray,
+    matched: np.ndarray,
+    values: np.ndarray,
+    num_strata: int,
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Bucket labelled draws into strata, preserving draw order.
+
+    ``assignment`` maps record index -> stratum; ``indices`` / ``matched``
+    / ``values`` are the aligned draw columns.  Returns one
+    ``(indices, matches, values)`` triple per stratum, where values of
+    unmatched draws are masked to NaN — exactly the per-group bucketing
+    of :mod:`repro.core.groupby`.
+    """
+    stratum_of = assignment[indices]
+    masked_values = np.where(matched, values, np.nan)
+    out: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for k in range(num_strata):
+        in_k = stratum_of == k
+        out.append((indices[in_k], matched[in_k], masked_values[in_k]))
+    return out
+
+
+def priority_core(
+    p: np.ndarray,
+    sigma: np.ndarray,
+    mu: np.ndarray,
+    draws: np.ndarray,
+    p_all: float,
+    mu_all: float,
+) -> np.ndarray:
+    """Element-wise core of the marginal-variance-reduction priority.
+
+    The caller (:func:`repro.engine.policies.marginal_variance_reduction`)
+    supplies the two reductions — ``p_all = p.sum()`` and the weighted
+    overall mean ``mu_all`` — so the kernel itself is purely element-wise.
+    """
+    w = p / p_all
+    with np.errstate(divide="ignore", invalid="ignore"):
+        within = np.where(p > 0, w**2 * sigma**2 / np.maximum(p, 1e-12), 0.0)
+        weight_uncertainty = ((mu - mu_all) / p_all) ** 2 * p * (1.0 - p)
+        contribution = (within + weight_uncertainty) / np.maximum(draws, 1.0)
+        priority = contribution / np.maximum(draws + 1.0, 1.0)
+    return priority
+
+
+def floor_spread(weights: np.ndarray, batch: int) -> np.ndarray:
+    """Spread ``batch`` draws proportionally to normalized ``weights``.
+
+    Floor allocation with the integer shortfall topped up at the argmax
+    weight — the sequential / until-width policies' per-round spread.
+    ``weights`` must already sum to 1 (the caller normalizes, keeping the
+    one float reduction out of the kernel).
+    """
+    counts = np.floor(weights * batch).astype(np.int64)
+    counts[int(np.argmax(weights))] += batch - int(counts.sum())
+    return counts
+
+
+def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
+    """Largest-remainder integer split of ``total`` by positive weights.
+
+    ``weights`` must be validated (non-empty, non-negative, not all zero)
+    by the caller — :func:`repro.stats.sampling
+    .proportional_integer_allocation` owns that contract.  The argsort
+    tie order for equal remainders is part of the bitwise contract.
+    """
+    w = weights / weights.sum()
+    raw = w * total
+    base = np.floor(raw).astype(np.int64)
+    leftover = total - int(base.sum())
+    if leftover > 0:
+        remainders = raw - base
+        order = np.argsort(-remainders)
+        for idx in order[:leftover]:
+            base[idx] += 1
+    return base
+
+
+def bootstrap_resample_stats(
+    matches: np.ndarray, values: np.ndarray, resample_idx: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-trial positive counts and positive-value sums for one stratum.
+
+    ``matches`` is the stratum's 0/1 match column (float), ``values`` its
+    statistic column with unmatched entries already zeroed, and
+    ``resample_idx`` the ``(num_bootstrap, n)`` resampled position
+    matrix.  Row reductions use NumPy's pairwise summation — part of the
+    bitwise contract (see module docstring).
+    """
+    resampled_matches = matches[resample_idx]
+    resampled_values = values[resample_idx]
+    positives = resampled_matches.sum(axis=1)
+    sums = (resampled_values * resampled_matches).sum(axis=1)
+    return positives, sums
+
+
+def minimax_single_objective(
+    error_terms: np.ndarray,
+    usable: np.ndarray,
+    informative: np.ndarray,
+    lam: np.ndarray,
+    n2: int,
+    eps: float,
+) -> float:
+    """Eq. 10's worst-group objective, vectorized over the S-term matrix.
+
+    ``error_terms[l, g]`` is stratification *l*'s S term for group *g*;
+    ``usable`` masks the finite, positive terms and ``informative`` the
+    groups that participate in the worst case (both precomputed once per
+    solve).  Each group's variance is the inverse-variance combination
+    across stratifications of ``term / max(lam_l * n2, eps)``.
+    """
+    denom = np.maximum(lam * n2, eps)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inverse = np.where(usable, 1.0 / (error_terms / denom[:, None]), 0.0)
+        inverse_sum = inverse.sum(axis=0)
+        combined = np.where(inverse_sum > 0, 1.0 / inverse_sum, np.inf)
+    contenders = combined[informative]
+    return float(contenders.max()) if contenders.size else 0.0
+
+
+def minimax_multi_objective(
+    error_terms: np.ndarray,
+    informative: np.ndarray,
+    lam: np.ndarray,
+    n2: int,
+    eps: float,
+) -> float:
+    """Eq. 11's worst-group objective: per-group isolated variances."""
+    terms = error_terms[informative]
+    if terms.size == 0:
+        return 0.0
+    variance = terms / np.maximum(lam[informative] * n2, eps)
+    return float(variance.max())

@@ -16,6 +16,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.kernels import largest_remainder
 from repro.stats.rng import RandomState
 
 __all__ = [
@@ -92,14 +93,11 @@ def proportional_integer_allocation(
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
         return []
+    if not np.all(np.isfinite(w)):
+        raise ValueError("allocation weights must be finite")
     if np.any(w < 0):
         raise ValueError("allocation weights must be non-negative")
     if np.all(w == 0):
         # Degenerate case: nothing informative, spread evenly.
         w = np.ones_like(w)
-    # The rounding core is a registered kernel (reference-only on every
-    # backend: equal-remainder argsort tie order is part of the bitwise
-    # contract); validation above stays the caller's job.
-    from repro.kernels import kernel_set
-
-    return kernel_set().largest_remainder(w, int(total)).tolist()
+    return largest_remainder(w, int(total)).tolist()

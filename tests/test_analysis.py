@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    LintEngine,
     LockOrderViolation,
     LockWatcher,
     findings_to_json,
@@ -340,97 +339,6 @@ class TestLockDisciplineRule:
 
 
 # ---------------------------------------------------------------------------
-# kernel-contract rule
-# ---------------------------------------------------------------------------
-
-_REGISTRY_SRC = (
-    "FLOAT_REDUCTION_KERNELS = frozenset({'sum_all'})\n"
-)
-_REFERENCE_SRC = (
-    "from repro.kernels.registry import register_kernel\n"
-    "@register_kernel('gather')\n"
-    "def gather(stratum, available):\n"
-    "    return stratum\n"
-    "@register_kernel('sum_all')\n"
-    "def sum_all(values):\n"
-    "    return values.sum()\n"
-)
-
-
-class TestKernelContractRule:
-    def _tree(self, tmp_path, native_src):
-        return make_tree(tmp_path, {
-            "src/repro/kernels/registry.py": _REGISTRY_SRC,
-            "src/repro/kernels/reference.py": _REFERENCE_SRC,
-            "src/repro/kernels/native.py": native_src,
-        })
-
-    def test_clean_native_module(self, tmp_path):
-        root = self._tree(tmp_path, (
-            "from repro.kernels.registry import register_kernel\n"
-            "@register_kernel('gather', backend='numba')\n"
-            "def gather(stratum, available):\n"
-            "    return stratum\n"
-        ))
-        assert lint_tree(root) == []
-
-    def test_native_without_reference_flagged(self, tmp_path):
-        root = self._tree(tmp_path, (
-            "from repro.kernels.registry import register_kernel\n"
-            "@register_kernel('orphan', backend='numba')\n"
-            "def orphan(x):\n"
-            "    return x\n"
-        ))
-        findings = lint_tree(root)
-        assert rules_of(findings) == ["kernel-contract"]
-        assert "orphan" in findings[0].message
-
-    def test_signature_drift_flagged(self, tmp_path):
-        root = self._tree(tmp_path, (
-            "from repro.kernels.registry import register_kernel\n"
-            "@register_kernel('gather', backend='numba')\n"
-            "def gather(stratum, avail):\n"
-            "    return stratum\n"
-        ))
-        findings = lint_tree(root)
-        assert rules_of(findings) == ["kernel-contract"]
-        assert "signature" in findings[0].message
-
-    def test_reduction_kernel_native_override_flagged(self, tmp_path):
-        root = self._tree(tmp_path, (
-            "from repro.kernels.registry import register_kernel\n"
-            "@register_kernel('sum_all', backend='numba')\n"
-            "def sum_all(values):\n"
-            "    return values.sum()\n"
-        ))
-        findings = lint_tree(root)
-        assert rules_of(findings) == ["kernel-contract"]
-        assert "float-reduction" in findings[0].message
-
-    def test_stale_reduction_entry_flagged(self, tmp_path):
-        root = make_tree(tmp_path, {
-            "src/repro/kernels/registry.py":
-                "FLOAT_REDUCTION_KERNELS = frozenset({'ghost'})\n",
-            "src/repro/kernels/reference.py": _REFERENCE_SRC,
-        })
-        findings = lint_tree(root)
-        assert rules_of(findings) == ["kernel-contract"]
-        assert "ghost" in findings[0].message
-
-    def test_runtime_registration_of_reduction_native_rejected(self):
-        from repro.kernels.registry import register_kernel
-
-        with pytest.raises(ValueError, match="float-reduction"):
-            register_kernel("largest_remainder", backend="numba")
-
-    def test_runtime_reference_registration_still_allowed(self):
-        from repro.kernels import reference  # noqa: F401
-        from repro.kernels.registry import registered_kernels
-
-        assert "numpy" in registered_kernels()["largest_remainder"]
-
-
-# ---------------------------------------------------------------------------
 # api-hygiene rule
 # ---------------------------------------------------------------------------
 
@@ -740,8 +648,7 @@ class TestRepoIsClean:
             cwd=REPO_ROOT,
         )
         assert out.returncode == 0
-        for name in ("determinism", "lock-discipline", "kernel-contract",
-                     "api-hygiene"):
+        for name in ("determinism", "lock-discipline", "api-hygiene"):
             assert name in out.stdout
 
     def test_cli_rejects_unknown_rule(self):

@@ -38,6 +38,10 @@ class TestBoundedAllocation:
         with pytest.raises(ValueError):
             bounded_allocation([1.0], total=10, capacities=[5, 5])
 
+    def test_non_finite_weight_raises(self):
+        with pytest.raises(ValueError, match="finite"):
+            bounded_allocation([float("nan"), 1.0], total=10, capacities=[5, 5])
+
 
 class TestDrawStratumSample:
     def test_oracle_called_once_per_draw(self, small_scenario):

@@ -441,32 +441,12 @@ class TestErrorMessageContracts:
     """Rejection messages must *enumerate* the allowed values.
 
     These messages are the API's discovery mechanism for valid knob
-    settings — a user who typos ``kernel="numab"`` learns the real
-    choices from the error, not from a docs hunt.  The contract is pinned
+    settings — a user who typos ``parallel_backend="thraed"`` learns the
+    real choices from the error, not from a docs hunt.  The contract is pinned
     here so a reworded message cannot silently drop the enumeration.
     """
 
-    KERNEL_CHOICES = ("'auto'", "'numpy'", "'numba'")
     BACKEND_CHOICES = ("'thread'", "'process'")
-
-    @pytest.mark.parametrize("bad_kernel", ["numab", "", "fast", "AUTO", 7])
-    def test_kernel_hint_error_enumerates_choices(self, bad_kernel):
-        from repro.kernels.registry import validate_kernel_hint
-
-        with pytest.raises(ValueError) as excinfo:
-            validate_kernel_hint(bad_kernel)
-        message = str(excinfo.value)
-        for choice in self.KERNEL_CHOICES:
-            assert choice in message
-        assert repr(bad_kernel) in message
-
-    @pytest.mark.parametrize("bad_kernel", ["numab", "fast"])
-    def test_config_kernel_error_enumerates_choices(self, bad_kernel):
-        with pytest.raises(ExecutionConfigError) as excinfo:
-            ExecutionConfig(kernel=bad_kernel)
-        message = str(excinfo.value)
-        for choice in self.KERNEL_CHOICES:
-            assert choice in message
 
     @pytest.mark.parametrize("bad_backend", ["greenlet", "", "THREAD"])
     def test_config_parallel_backend_error_enumerates_choices(self, bad_backend):
@@ -479,19 +459,8 @@ class TestErrorMessageContracts:
 
     def test_config_reports_every_invalid_field_at_once(self):
         with pytest.raises(ExecutionConfigError) as excinfo:
-            ExecutionConfig(kernel="nope", parallel_backend="nope")
+            ExecutionConfig(batch_size=0, parallel_backend="nope")
         message = str(excinfo.value)
-        for choice in self.KERNEL_CHOICES + self.BACKEND_CHOICES:
+        assert "batch_size must be a positive integer or None, got 0" in message
+        for choice in self.BACKEND_CHOICES:
             assert choice in message
-
-    @pytest.mark.parametrize("bad_kernel", ["numab", "fast"])
-    def test_planning_error_preserves_enumeration(self, bad_kernel):
-        # The planner wraps ExecutionConfigError in PlanningError; the
-        # enumeration must survive the wrapping verbatim.
-        query = parse_query(QUERY)
-        with pytest.raises(PlanningError) as excinfo:
-            plan_query(query, kernel=bad_kernel)
-        message = str(excinfo.value)
-        for choice in self.KERNEL_CHOICES:
-            assert choice in message
-        assert repr(bad_kernel) in message

@@ -1,208 +1,27 @@
-"""Tests for the repro.kernels dispatch layer.
+"""Tests for the sampler inner loops in repro.kernels.
 
-Covers the registry and backend resolution, the ``kernel=`` execution
-hint's error contracts (config / planner / pipeline), hypothesis property
-tests for the parity edge cases (zero draws, exhausted strata,
-single-record strata, empty groups), checkpoint roundtrips of the pool's
-backend binding, and — when numba is importable — a numpy-vs-numba
-fingerprint-equality grid over the samplers.
+Hypothesis property tests for the parity edge cases of the ported loops
+(zero draws, exhausted strata, single-record strata, empty groups), the
+conservation laws of the integer spreads, and checkpoint roundtrips of
+the stratum pool, including states written by older checkpoints.
 """
 
 from __future__ import annotations
 
 import pickle
-import warnings
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.abae import run_abae
-from repro.engine.config import (
-    ExecutionConfig,
-    ExecutionConfigError,
-    resolve_execution_config,
-    resolve_kernel_set,
-)
 from repro.engine.pipeline import StratumPool
 from repro.engine.policies import marginal_variance_reduction
 from repro.core.types import StratumSample
-from repro.kernels import (
-    KERNEL_BACKENDS,
-    KERNEL_ENV_VAR,
-    KernelSet,
-    kernel_set,
-    numba_available,
-    registered_kernels,
-    resolve_backend_name,
-    validate_kernel_hint,
-)
-from repro.kernels.registry import register_kernel
-from repro.oracle.simulated import LabelColumnOracle
-from repro.query.errors import PlanningError
-from repro.query.parser import parse_query
-from repro.query.planner import plan_query
-from repro.stats.rng import RandomState
-
-from harness import estimate_fingerprint
-
-QUERY = (
-    "SELECT AVG(x) FROM t WHERE p(x) ORACLE LIMIT 100 "
-    "USING proxy WITH PROBABILITY 0.95"
-)
-
-
-# ---------------------------------------------------------------------------
-# Registry and backend resolution
-# ---------------------------------------------------------------------------
-
-
-class TestRegistry:
-    def test_every_kernel_has_a_numpy_reference(self):
-        registry = registered_kernels()
-        assert registry, "kernel registry must not be empty"
-        for name, impls in registry.items():
-            assert "numpy" in impls, f"kernel {name!r} lacks a reference"
-
-    def test_kernel_set_exposes_every_registered_kernel(self):
-        ks = kernel_set("numpy")
-        for name in registered_kernels():
-            assert name in ks
-            assert callable(ks[name])
-            assert getattr(ks, name) is ks[name]
-        assert ks.names() == sorted(registered_kernels())
-
-    def test_numpy_set_has_no_native_kernels(self):
-        assert kernel_set("numpy").native_kernels == frozenset()
-
-    def test_kernel_sets_cached_per_backend(self):
-        assert kernel_set("numpy") is kernel_set("numpy")
-
-    def test_float_reduction_kernels_stay_reference_everywhere(self):
-        # The bitwise contract: kernels whose reference semantics involve
-        # float reductions never get a native body on any backend.
-        ks = kernel_set()
-        for name in (
-            "largest_remainder",
-            "bootstrap_resample_stats",
-            "minimax_single_objective",
-            "minimax_multi_objective",
-        ):
-            assert name not in ks.native_kernels
-            assert ks[name] is kernel_set("numpy")[name]
-
-    def test_register_rejects_abstract_backend(self):
-        with pytest.raises(ValueError, match="concrete backend"):
-            register_kernel("anything", backend="auto")
-
-
-class TestResolution:
-    def test_backends_tuple(self):
-        assert KERNEL_BACKENDS == ("auto", "numpy", "numba")
-
-    @pytest.mark.parametrize("hint", KERNEL_BACKENDS)
-    def test_validate_accepts_every_backend(self, hint):
-        validate_kernel_hint(hint)
-
-    @pytest.mark.parametrize("bad", ["cuda", "", "NUMPY", 3, None])
-    def test_validate_rejects_unknown_names_listing_allowed(self, bad):
-        with pytest.raises(ValueError) as excinfo:
-            validate_kernel_hint(bad)
-        message = str(excinfo.value)
-        assert "'auto', 'numpy', 'numba'" in message
-        assert repr(bad) in message
-
-    def test_none_and_auto_resolve_to_a_concrete_backend(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        expected = "numba" if numba_available() else "numpy"
-        assert resolve_backend_name(None) == expected
-        assert resolve_backend_name("auto") == expected
-
-    def test_env_var_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
-        assert resolve_backend_name("auto") == "numpy"
-        assert kernel_set().backend == "numpy"
-
-    def test_env_var_rejected_with_source_in_message(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "cuda")
-        with pytest.raises(ValueError, match=KERNEL_ENV_VAR):
-            resolve_backend_name("auto")
-
-    def test_explicit_hint_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "cuda")  # never consulted
-        assert resolve_backend_name("numpy") == "numpy"
-
-    @pytest.mark.skipif(numba_available(), reason="numba is importable here")
-    def test_forced_numba_without_numba_is_a_hard_error(self):
-        with pytest.raises(ValueError, match="not[ \n]+importable"):
-            resolve_backend_name("numba")
-
-
-# ---------------------------------------------------------------------------
-# The kernel= execution hint: config, planner, pipeline error contracts
-# ---------------------------------------------------------------------------
-
-
-class TestKernelHint:
-    def test_default_is_auto(self):
-        assert ExecutionConfig().kernel == "auto"
-        assert plan_query(parse_query(QUERY)).kernel == "auto"
-
-    def test_config_rejects_unknown_kernel_listing_allowed(self):
-        with pytest.raises(ExecutionConfigError) as excinfo:
-            ExecutionConfig(kernel="cuda")
-        assert "'auto', 'numpy', 'numba'" in str(excinfo.value)
-
-    def test_resolve_execution_config_merges_kernel(self):
-        config = resolve_execution_config(None, "test", kernel="numpy")
-        assert config.kernel == "numpy"
-
-    def test_kernel_is_a_modern_hint_no_deprecation_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            plan = plan_query(parse_query(QUERY), kernel="numpy")
-        assert plan.kernel == "numpy"
-        assert plan.config.kernel == "numpy"
-
-    def test_planner_rejects_unknown_kernel_as_planning_error(self):
-        with pytest.raises(PlanningError) as excinfo:
-            plan_query(parse_query(QUERY), kernel="cuda")
-        assert "'auto', 'numpy', 'numba'" in str(excinfo.value)
-
-    def test_planner_accepts_numba_name_even_without_numba(self):
-        # Name validation happens at plan time; backend *resolution* is
-        # deferred to pipeline construction (the plan may execute on a
-        # worker that does have numba).
-        assert plan_query(parse_query(QUERY), kernel="numba").kernel == "numba"
-
-    def test_resolve_kernel_set_honours_the_hint(self):
-        assert resolve_kernel_set(ExecutionConfig(kernel="numpy")).backend == "numpy"
-
-    @pytest.mark.skipif(numba_available(), reason="numba is importable here")
-    def test_forced_numba_without_numba_fails_at_pipeline_construction(self):
-        config = ExecutionConfig(kernel="numba")  # name-valid, constructs fine
-        with pytest.raises(ExecutionConfigError, match="numba"):
-            resolve_kernel_set(config)
-        labels = np.arange(100) % 3 == 0
-        with pytest.raises(ExecutionConfigError, match="numba"):
-            run_abae(
-                np.linspace(0, 1, 100),
-                LabelColumnOracle(labels),
-                np.ones(100),
-                budget=20,
-                num_strata=2,
-                rng=RandomState(0),
-                config=config,
-            )
+from repro.kernels import bucket_by_stratum, floor_spread, largest_remainder
 
 
 # ---------------------------------------------------------------------------
 # Parity property tests: edge cases of the ported loops
 # ---------------------------------------------------------------------------
-
-
-def _pool_from_strata(strata, backend):
-    return StratumPool(strata, kernels=kernel_set(backend))
 
 
 @st.composite
@@ -228,7 +47,7 @@ class TestPoolParity:
     @given(stratum_and_draws())
     def test_gather_and_mark_match_direct_mask_ops(self, case):
         stratum, drawn = case
-        pool = _pool_from_strata([stratum], "numpy")
+        pool = StratumPool([stratum])
         pool.mark_drawn(0, drawn)
         mask = np.ones(stratum.size, dtype=bool)
         mask[np.searchsorted(stratum, drawn)] = False
@@ -237,37 +56,23 @@ class TestPoolParity:
 
     def test_zero_draws_is_a_noop(self):
         stratum = np.array([3, 7, 11], dtype=np.int64)
-        pool = _pool_from_strata([stratum], "numpy")
+        pool = StratumPool([stratum])
         pool.mark_drawn(0, np.empty(0, dtype=np.int64))
         np.testing.assert_array_equal(pool.candidates(0), stratum)
         assert pool.remaining[0] == 3
 
     def test_exhausting_a_stratum(self):
         stratum = np.array([2, 5, 9], dtype=np.int64)
-        pool = _pool_from_strata([stratum], "numpy")
+        pool = StratumPool([stratum])
         pool.mark_drawn(0, stratum)  # count == capacity
         assert pool.candidates(0).size == 0
         assert pool.remaining[0] == 0
 
     def test_single_record_stratum(self):
-        pool = _pool_from_strata([np.array([42], dtype=np.int64)], "numpy")
+        pool = StratumPool([np.array([42], dtype=np.int64)])
         np.testing.assert_array_equal(pool.candidates(0), [42])
         pool.mark_drawn(0, np.array([42], dtype=np.int64))
         assert pool.candidates(0).size == 0
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not importable")
-    @settings(max_examples=60, deadline=None)
-    @given(stratum_and_draws())
-    def test_numba_pool_matches_numpy_pool(self, case):
-        stratum, drawn = case
-        ref = _pool_from_strata([stratum], "numpy")
-        nat = _pool_from_strata([stratum], "numba")
-        for pool in (ref, nat):
-            pool.mark_drawn(0, drawn)
-        np.testing.assert_array_equal(ref.candidates(0), nat.candidates(0))
-        assert ref.remaining[0] == nat.remaining[0]
-
-
 @st.composite
 def bucket_case(draw):
     num_strata = draw(st.integers(min_value=1, max_value=6))
@@ -319,7 +124,7 @@ class TestBucketParity:
     @given(bucket_case())
     def test_bucketing_matches_boolean_mask_reference(self, case):
         assignment, indices, matched, values, num_strata = case
-        got = kernel_set("numpy").bucket_by_stratum(
+        got = bucket_by_stratum(
             assignment, indices, matched, values, num_strata
         )
         stratum_of = assignment[indices]
@@ -331,7 +136,7 @@ class TestBucketParity:
         _triples_equal(got, expected)
 
     def test_empty_draw_log_yields_empty_strata(self):
-        got = kernel_set("numpy").bucket_by_stratum(
+        got = bucket_by_stratum(
             np.zeros(5, dtype=np.int64),
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=bool),
@@ -341,18 +146,6 @@ class TestBucketParity:
         assert len(got) == 3
         for gi, gm, gv in got:
             assert gi.size == gm.size == gv.size == 0
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not importable")
-    @settings(max_examples=60, deadline=None)
-    @given(bucket_case())
-    def test_numba_bucketing_matches_reference(self, case):
-        ref = kernel_set("numpy").bucket_by_stratum(*case)
-        nat = kernel_set("numba").bucket_by_stratum(*case)
-        _triples_equal(nat, ref)
-        for _, matches, _ in nat:
-            assert matches.dtype == np.bool_
-
-
 @st.composite
 def weight_vector(draw):
     k = draw(st.integers(min_value=1, max_value=10))
@@ -369,7 +162,7 @@ class TestIntegerSpreads:
     @settings(max_examples=80, deadline=None)
     @given(weight_vector(), st.integers(min_value=0, max_value=500))
     def test_floor_spread_conserves_the_batch(self, weights, batch):
-        counts = kernel_set("numpy").floor_spread(weights, batch)
+        counts = floor_spread(weights, batch)
         assert counts.sum() == batch
         # only the argmax stratum is topped up; floors never exceed weight share
         floors = np.floor(weights * batch).astype(np.int64)
@@ -380,20 +173,9 @@ class TestIntegerSpreads:
     @settings(max_examples=80, deadline=None)
     @given(weight_vector(), st.integers(min_value=0, max_value=500))
     def test_largest_remainder_conserves_the_total(self, weights, total):
-        counts = kernel_set("numpy").largest_remainder(weights, total)
+        counts = largest_remainder(weights, total)
         assert counts.sum() == total
         assert counts.min() >= 0
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not importable")
-    @settings(max_examples=80, deadline=None)
-    @given(weight_vector(), st.integers(min_value=0, max_value=500))
-    def test_numba_floor_spread_matches_reference(self, weights, batch):
-        ref = kernel_set("numpy").floor_spread(weights, batch)
-        nat = kernel_set("numba").floor_spread(weights, batch)
-        np.testing.assert_array_equal(ref, nat)
-        assert nat.dtype == ref.dtype
-
-
 @st.composite
 def sample_list(draw):
     num_strata = draw(st.integers(min_value=1, max_value=6))
@@ -425,51 +207,41 @@ def sample_list(draw):
 class TestPriorityParity:
     @settings(max_examples=60, deadline=None)
     @given(sample_list())
-    def test_priority_is_finite_nonnegative_and_backend_stable(self, samples):
-        ref = marginal_variance_reduction(samples, kernels=kernel_set("numpy"))
-        assert ref.shape == (len(samples),)
-        assert np.all(np.isfinite(ref))
-        assert np.all(ref >= 0)
-        if numba_available():
-            nat = marginal_variance_reduction(
-                samples, kernels=kernel_set("numba")
-            )
-            np.testing.assert_array_equal(
-                ref.view(np.uint64), nat.view(np.uint64)
-            )  # bitwise
+    def test_priority_is_finite_and_nonnegative(self, samples):
+        priority = marginal_variance_reduction(samples)
+        assert priority.shape == (len(samples),)
+        assert np.all(np.isfinite(priority))
+        assert np.all(priority >= 0)
 
     def test_all_empty_strata_explore_uniformly(self):
         samples = [StratumSample(stratum=k) for k in range(4)]
         np.testing.assert_array_equal(
-            marginal_variance_reduction(samples, kernels=kernel_set("numpy")),
-            np.ones(4),
+            marginal_variance_reduction(samples), np.ones(4)
         )
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing: the pool's backend binding survives a roundtrip
+# Checkpointing: the pool survives a roundtrip, and older states restore
 # ---------------------------------------------------------------------------
 
 
 class TestPoolPickling:
-    def test_roundtrip_preserves_masks_and_backend(self):
+    def test_roundtrip_preserves_masks(self):
         stratum = np.arange(10, dtype=np.int64)
-        pool = _pool_from_strata([stratum], "numpy")
+        pool = StratumPool([stratum])
         pool.mark_drawn(0, np.array([2, 5], dtype=np.int64))
         clone = pickle.loads(pickle.dumps(pool))
         np.testing.assert_array_equal(clone.candidates(0), pool.candidates(0))
         np.testing.assert_array_equal(clone.remaining, pool.remaining)
-        assert clone.kernels.backend == "numpy"
 
-    def test_pickle_payload_stores_backend_name_not_functions(self):
-        pool = _pool_from_strata([np.arange(4, dtype=np.int64)], "numpy")
+    def test_pickle_payload_holds_only_data(self):
+        pool = StratumPool([np.arange(4, dtype=np.int64)])
         state = pool.__getstate__()
-        assert state["_kernel_backend"] == "numpy"
+        assert sorted(state) == ["_available", "_strata", "remaining"]
         assert not any(callable(v) for v in state.values())
 
     def test_legacy_tuple_state_restores(self):
-        # Pre-kernel checkpoints pickled __slots__ as a (dict, slots) tuple
-        # with no backend name; restoring resolves the default backend.
+        # The oldest checkpoints pickled __slots__ as a (dict, slots) tuple.
         stratum = np.arange(6, dtype=np.int64)
         legacy_state = (
             None,
@@ -482,65 +254,21 @@ class TestPoolPickling:
         pool = StratumPool.__new__(StratumPool)
         pool.__setstate__(legacy_state)
         np.testing.assert_array_equal(pool.candidates(0), stratum)
-        assert pool.kernels.backend in ("numpy", "numba")
 
-    def test_unknown_saved_backend_falls_back_to_reference(self):
+    def test_state_naming_a_kernel_backend_restores(self):
+        # Checkpoints written while pools carried a kernel backend name
+        # store it under ``_kernel_backend``; the name is ignored.
+        stratum = np.arange(5, dtype=np.int64)
+        available = np.array([True, False, True, True, False])
         pool = StratumPool.__new__(StratumPool)
         pool.__setstate__(
             {
-                "_strata": [np.arange(3, dtype=np.int64)],
-                "_available": [np.ones(3, dtype=bool)],
+                "_strata": [stratum],
+                "_available": [available.copy()],
                 "remaining": np.array([3], dtype=np.int64),
-                "_kernel_backend": "cuda",
+                "_kernel_backend": "numba",
             }
         )
-        assert pool.kernels.backend == "numpy"
-
-    def test_rebind_kernels_swaps_the_dispatch_table(self):
-        pool = _pool_from_strata([np.arange(3, dtype=np.int64)], "numpy")
-        replacement = kernel_set("numpy")
-        pool.rebind_kernels(replacement)
-        assert pool.kernels is replacement
-
-
-# ---------------------------------------------------------------------------
-# numpy-vs-numba end-to-end fingerprint equality (the layer's contract)
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.skipif(not numba_available(), reason="numba not importable")
-class TestBackendFingerprintEquality:
-    @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize("batch_size", [None, 32])
-    def test_abae_identical_across_backends(self, seed, batch_size):
-        rng = np.random.default_rng(123)
-        size = 4_000
-        labels = rng.random(size) < 0.2
-        proxy = np.clip(labels * 0.5 + rng.random(size) * 0.5, 0.0, 1.0)
-        statistic = rng.random(size)
-        fingerprints = {}
-        for backend in ("numpy", "numba"):
-            result = run_abae(
-                proxy,
-                LabelColumnOracle(labels),
-                statistic,
-                budget=800,
-                num_strata=4,
-                with_ci=True,
-                rng=RandomState(seed),
-                config=ExecutionConfig(kernel=backend, batch_size=batch_size),
-            )
-            fingerprints[backend] = estimate_fingerprint(result)
-        assert fingerprints["numpy"] == fingerprints["numba"], (
-            f"backend fingerprints diverged at seed={seed}, "
-            f"batch_size={batch_size}"
-        )
-
-    def test_kernel_sets_disagree_only_on_native_kernels(self):
-        ref, nat = kernel_set("numpy"), kernel_set("numba")
-        assert ref.names() == nat.names()
-        for name in ref.names():
-            if name in nat.native_kernels:
-                assert nat[name] is not ref[name]
-            else:
-                assert nat[name] is ref[name]
+        np.testing.assert_array_equal(pool.candidates(0), stratum[available])
+        np.testing.assert_array_equal(pool.remaining, [3])
+        assert pool.__getstate__().keys() == {"_strata", "_available", "remaining"}

@@ -123,6 +123,11 @@ class TestProportionalIntegerAllocation:
         with pytest.raises(ValueError):
             proportional_integer_allocation([1, -1], 10)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_raises(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            proportional_integer_allocation([bad, 1.0], 10)
+
     def test_negative_total_raises(self):
         with pytest.raises(ValueError):
             proportional_integer_allocation([1, 1], -5)
