@@ -15,7 +15,8 @@ import time
 from bench_results import write_json_result, write_result
 
 from repro.core.abae import run_abae
-from repro.oracle.simulated import LatencyOracle
+from repro.engine.config import ExecutionConfig
+from repro.oracle.simulated import SimulatedRemoteOracle
 from repro.stats.rng import RandomState
 from repro.synth import make_dataset
 
@@ -34,8 +35,7 @@ def _run(scenario, oracle, num_workers):
         scenario.statistic_values,
         budget=BUDGET,
         rng=RandomState(1),
-        batch_size=None,
-        num_workers=num_workers,
+        config=ExecutionConfig(batch_size=None, num_workers=num_workers),
     )
 
 
@@ -43,7 +43,7 @@ def _best_time(scenario, labels, num_workers):
     best = float("inf")
     result = None
     for _ in range(REPEATS):
-        oracle = LatencyOracle(labels, per_record_seconds=PER_RECORD_SECONDS)
+        oracle = SimulatedRemoteOracle(labels, per_record_seconds=PER_RECORD_SECONDS)
         start = time.perf_counter()
         result = _run(scenario, oracle, num_workers)
         best = min(best, time.perf_counter() - start)

@@ -3,9 +3,9 @@
 
 Runs the same fixed-seed query repeatedly through an :class:`repro.ABae`
 facade (stratification built once, as a resident query server would) with
-the execution engine in strictly-sequential mode (``batch_size=1``, the
-pre-batching per-record oracle loop) and in whole-draw batch mode
-(``batch_size=None``), and reports the wall-clock speedup per budget.
+the execution engine in strictly-sequential mode
+(``ExecutionConfig(batch_size=1)``, the pre-batching per-record oracle
+loop) and in whole-draw batch mode (``batch_size=None``), and reports the wall-clock speedup per budget.
 
 The two modes are verified to produce bit-identical estimates and oracle
 call counts before any timing is reported — batching is purely an
@@ -23,6 +23,7 @@ import argparse
 import time
 
 from repro.core.abae import ABae
+from repro.engine.config import ExecutionConfig
 from repro.stats.rng import RandomState
 from repro.synth import make_dataset
 
@@ -55,10 +56,16 @@ def main() -> int:
 
     scenario = make_dataset(args.dataset, seed=0, size=args.size)
     sequential = ABae(
-        scenario.proxy, scenario.make_oracle(), scenario.statistic_values, batch_size=1
+        scenario.proxy,
+        scenario.make_oracle(),
+        scenario.statistic_values,
+        config=ExecutionConfig(batch_size=1),
     )
     batched = ABae(
-        scenario.proxy, scenario.make_oracle(), scenario.statistic_values, batch_size=None
+        scenario.proxy,
+        scenario.make_oracle(),
+        scenario.statistic_values,
+        config=ExecutionConfig(batch_size=None),
     )
 
     print(f"dataset={args.dataset} size={args.size} repeats={args.repeats}")

@@ -5,8 +5,9 @@ The oracle in the paper's deployments is a remote, expensive call — DNN
 inference on a GPU service, a human-labeling API — so the client spends its
 time *waiting*, which is exactly what worker threads can overlap even on a
 single CPU core.  This benchmark models that with
-:class:`repro.oracle.simulated.LatencyOracle` (a deterministic label lookup
-behind a GIL-releasing per-record service delay) over the 100k synthetic
+:class:`repro.oracle.simulated.SimulatedRemoteOracle` with no injected
+failures (a deterministic label lookup behind a GIL-releasing per-record
+service delay) over the 100k synthetic
 dataset, and measures the same fixed-seed ABae query at increasing
 ``num_workers``.
 
@@ -34,7 +35,8 @@ import sys
 import time
 
 from repro.core.abae import run_abae
-from repro.oracle.simulated import LatencyOracle
+from repro.engine.config import ExecutionConfig
+from repro.oracle.simulated import SimulatedRemoteOracle
 from repro.stats.rng import RandomState
 from repro.synth import make_dataset
 
@@ -59,8 +61,7 @@ def run_once(scenario, oracle, budget, seed, num_workers):
         with_ci=True,
         num_bootstrap=100,
         rng=RandomState(seed),
-        batch_size=None,
-        num_workers=num_workers,
+        config=ExecutionConfig(batch_size=None, num_workers=num_workers),
     )
 
 
@@ -104,7 +105,7 @@ def main() -> int:
     print("verifying bit-identical results across worker counts ...")
     reference = None
     for workers in args.workers:
-        oracle = LatencyOracle(labels, name="verify")
+        oracle = SimulatedRemoteOracle(labels, name="verify")
         digest = fingerprint(
             run_once(scenario, oracle, args.budget, args.seed, workers)
         )
@@ -135,7 +136,7 @@ def main() -> int:
         best = float("inf")
         result = None
         for _ in range(args.repeats):
-            oracle = LatencyOracle(
+            oracle = SimulatedRemoteOracle(
                 labels,
                 per_record_seconds=per_record,
                 per_batch_seconds=per_batch,

@@ -12,7 +12,7 @@ over them, extract the statistic for the matches" step so that:
 * plain ``record_index -> bool`` callables keep working via a per-record
   fallback loop;
 * statistics carrying a ``batch`` attribute (the array-backed adapter
-  produced by ``repro.core.abae._normalize_statistic``, or
+  produced by ``repro.engine.pipeline.normalize_statistic``, or
   :class:`~repro.oracle.base.StatisticOracle`) are gathered with one fancy
   index instead of one Python call per match.
 

@@ -45,25 +45,7 @@ def bootstrap_estimates(
     if not samples:
         raise ValueError("bootstrap requires at least one stratum of samples")
     rng = rng or RandomState(0)
-
-    num_strata = len(samples)
-    p_star = np.zeros((num_bootstrap, num_strata))
-    mu_star = np.zeros((num_bootstrap, num_strata))
-
-    for k, sample in enumerate(samples):
-        n = sample.num_draws
-        if n == 0:
-            # Nothing was drawn from this stratum; it contributes p* = 0.
-            continue
-        matches = sample.matches.astype(float)
-        values = np.where(sample.matches, sample.values, 0.0)
-        # (num_bootstrap, n) index matrix of resampled positions.
-        resample_idx = rng.integers(0, n, size=(num_bootstrap, n))
-        positives, sums = bootstrap_resample_stats(matches, values, resample_idx)
-        p_star[:, k] = positives / n
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mu_star[:, k] = np.where(positives > 0, sums / np.maximum(positives, 1), 0.0)
-
+    p_star, mu_star = _per_stratum_bootstrap(samples, num_bootstrap, rng)
     denominators = p_star.sum(axis=1)
     numerators = (p_star * mu_star).sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -98,9 +80,11 @@ def _per_stratum_bootstrap(
     for k, sample in enumerate(samples):
         n = sample.num_draws
         if n == 0:
+            # Nothing was drawn from this stratum; it contributes p* = 0.
             continue
         matches = sample.matches.astype(float)
         values = np.where(sample.matches, sample.values, 0.0)
+        # (num_bootstrap, n) index matrix of resampled positions.
         resample_idx = rng.integers(0, n, size=(num_bootstrap, n))
         positives, sums = bootstrap_resample_stats(matches, values, resample_idx)
         p_star[:, k] = positives / n

@@ -27,11 +27,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.abae import (
-    StatisticLike,
-    _normalize_statistic,
-    run_abae,
-)
+from repro.core.abae import StatisticLike, run_abae
 from repro.core.allocation import (
     bounded_allocation,
     integerize_allocation,
@@ -45,11 +41,8 @@ from repro.core.batching import (
 )
 from repro.core.parallel import parallelize_oracle
 from repro.engine.builders import exploit_continuation_pipeline
-from repro.engine.config import (
-    UNSET,
-    ExecutionConfig,
-    resolve_execution_config,
-)
+from repro.engine.config import ExecutionConfig, resolve_execution_config
+from repro.engine.pipeline import normalize_statistic
 from repro.kernels import bucket_by_stratum, filter_undrawn
 from repro.oracle.base import evaluate_oracle_batch
 from repro.core.estimators import (
@@ -287,9 +280,6 @@ def run_groupby_single_oracle(
     stage1_fraction: float = 0.5,
     allocation_method: str = "minimax",
     rng: Optional[RandomState] = None,
-    batch_size=UNSET,
-    num_workers=UNSET,
-    parallel_backend=UNSET,
     config: Optional[ExecutionConfig] = None,
 ) -> GroupByResult:
     """GROUP BY estimation when one oracle call reveals the group key.
@@ -297,17 +287,9 @@ def run_groupby_single_oracle(
     ``budget`` is the total number of oracle invocations.  Returns per-group
     estimates plus the Stage-2 allocation Λ chosen for each stratification.
     ``config`` carries the execution knobs (oracle batching, worker-pool
-    sharding — see :mod:`repro.engine`); the per-knob kwargs are deprecated
-    aliases.  No knob ever changes results.
+    sharding — see :mod:`repro.engine`).  No knob ever changes results.
     """
-    config = resolve_execution_config(
-        config,
-        "run_groupby_single_oracle",
-        stacklevel=3,
-        batch_size=batch_size,
-        num_workers=num_workers,
-        parallel_backend=parallel_backend,
-    )
+    config = resolve_execution_config(config)
     batch_size = config.batch_size
     _validate_allocation_method(allocation_method)
     if not groups:
@@ -318,7 +300,7 @@ def run_groupby_single_oracle(
     oracle = parallelize_oracle(
         oracle, config.num_workers, config.parallel_backend
     )
-    statistic_fn = _normalize_statistic(statistic)
+    statistic_fn = normalize_statistic(statistic)
     group_keys = [g.key for g in groups]
     num_groups = len(groups)
 
@@ -480,9 +462,6 @@ def run_groupby_multi_oracle(
     stage1_fraction: float = 0.5,
     allocation_method: str = "minimax",
     rng: Optional[RandomState] = None,
-    batch_size=UNSET,
-    num_workers=UNSET,
-    parallel_backend=UNSET,
     config: Optional[ExecutionConfig] = None,
 ) -> GroupByResult:
     """GROUP BY estimation when each group has its own membership oracle.
@@ -490,24 +469,16 @@ def run_groupby_multi_oracle(
     ``budget`` is the *total* number of oracle invocations across all
     groups' oracles (the paper normalizes by the number of groups when
     plotting; the benchmark harness does the same).  ``config`` carries the
-    execution knobs (the per-knob kwargs are deprecated aliases); no knob
-    changes results.
+    execution knobs; no knob changes results.
     """
-    config = resolve_execution_config(
-        config,
-        "run_groupby_multi_oracle",
-        stacklevel=3,
-        batch_size=batch_size,
-        num_workers=num_workers,
-        parallel_backend=parallel_backend,
-    )
+    config = resolve_execution_config(config)
     _validate_allocation_method(allocation_method)
     if not groups:
         raise ValueError("run_groupby_multi_oracle requires at least one group")
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     rng = config.make_rng(rng)
-    statistic_fn = _normalize_statistic(statistic)
+    statistic_fn = normalize_statistic(statistic)
     group_keys = [g.key for g in groups]
     num_groups = len(groups)
 

@@ -24,7 +24,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.abae import StatisticLike, _normalize_statistic
+from repro.core.abae import StatisticLike
+from repro.engine.pipeline import normalize_statistic
 from repro.core.batching import label_records
 from repro.core.allocation import (
     optimal_stratified_mse,
@@ -94,7 +95,7 @@ def draw_pilot_sample(
     if pilot_budget <= 0:
         raise ValueError(f"pilot_budget must be positive, got {pilot_budget}")
     rng = rng or RandomState(0)
-    statistic_fn = _normalize_statistic(statistic)
+    statistic_fn = normalize_statistic(statistic)
     indices = sample_without_replacement(
         np.arange(num_records, dtype=np.int64), pilot_budget, rng
     )

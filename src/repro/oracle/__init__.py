@@ -55,7 +55,6 @@ from repro.oracle.simulated import (
     CallableOracle,
     NoisyHumanOracle,
     SimulatedRemoteOracle,
-    LatencyOracle,
 )
 from repro.oracle.composite import AndOracle, OrOracle, NotOracle
 from repro.oracle.groupkey import GroupKeyOracle, PerGroupOracles
@@ -76,7 +75,6 @@ __all__ = [
     "CallableOracle",
     "NoisyHumanOracle",
     "SimulatedRemoteOracle",
-    "LatencyOracle",
     "AsyncOracle",
     "RemoteEndpoint",
     "RemoteTicket",

@@ -31,7 +31,6 @@ __all__ = [
     "CallableOracle",
     "NoisyHumanOracle",
     "SimulatedRemoteOracle",
-    "LatencyOracle",
 ]
 
 
@@ -348,27 +347,3 @@ class SimulatedRemoteOracle(PredicateOracle):
         self._simulate_latency(idx.shape[0])
         return self._source.batch(idx)
 
-
-class LatencyOracle(SimulatedRemoteOracle):
-    """A never-failing :class:`SimulatedRemoteOracle` (latency only).
-
-    Kept as the workload for the batched / parallel engine benchmarks,
-    with its original positional signature: results never change, only
-    time does.
-    """
-
-    def __init__(
-        self,
-        labels: Sequence,
-        per_record_seconds: float = 0.0,
-        per_batch_seconds: float = 0.0,
-        name: str = "latency_oracle",
-        cost_per_call: float = 1.0,
-    ):
-        super().__init__(
-            labels,
-            per_record_seconds=per_record_seconds,
-            per_batch_seconds=per_batch_seconds,
-            name=name,
-            cost_per_call=cost_per_call,
-        )

@@ -25,8 +25,8 @@ Usage::
 
     def run(seed, batch_size, num_workers):
         oracle = scenario.make_oracle()
-        return run_abae(..., rng=RandomState(seed),
-                        batch_size=batch_size, num_workers=num_workers)
+        config = ExecutionConfig(batch_size=batch_size, num_workers=num_workers)
+        return run_abae(..., rng=RandomState(seed), config=config)
 
     assert_statistically_equivalent(run, seeds=(0, 1), batch_sizes=(1, 7, None),
                                     num_workers=(1, 2, 4))

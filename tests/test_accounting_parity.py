@@ -34,6 +34,7 @@ from harness import (
 
 from repro.core.abae import run_abae
 from repro.core.parallel import ParallelOracle
+from repro.engine.config import ExecutionConfig
 from repro.oracle.base import ColumnarCallLog
 from repro.oracle.budget import BudgetedOracle, OracleBudget
 from repro.oracle.cache import CachingOracle
@@ -202,8 +203,7 @@ class TestAccountingAcrossExecutionGrid:
                 budget=150,
                 num_strata=4,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
             return result, oracle
 

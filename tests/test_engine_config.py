@@ -1,27 +1,25 @@
-"""ExecutionConfig: eager validation, merging, and legacy-kwarg deprecation.
+"""ExecutionConfig: eager validation, the seed policy, and the one config path.
 
 The config is the engine's one shared error path for execution knobs: a
-bad setting must fail at construction (never mid-sampling), every legacy
-per-knob kwarg must keep working but warn loudly, and the modern
-``config=`` path must be completely silent.
+bad setting must fail at construction (never mid-sampling), and
+``config=ExecutionConfig(...)`` is the only way to set a knob — the old
+per-knob kwargs are gone and raise ``TypeError``.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.abae import ABae, run_abae
 from repro.core.adaptive import run_abae_sequential, run_abae_until_width
+from repro.core.groupby import run_groupby_multi_oracle, run_groupby_single_oracle
+from repro.core.multipred import run_abae_multipred
 from repro.core.uniform import UniformSampler, run_uniform
 from repro.engine import (
     ExecutionConfig,
     ExecutionConfigError,
     ProgressEvent,
-    UNSET,
     resolve_execution_config,
 )
-from repro.query.errors import PlanningError
 from repro.query.executor import execute_query
 from repro.query.parser import parse_query
 from repro.query.planner import plan_query
@@ -94,23 +92,7 @@ class TestValidation:
         assert config.progress is None
 
 
-class TestMergingAndRng:
-    def test_merged_overrides_and_revalidates(self):
-        base = ExecutionConfig(batch_size=8)
-        assert base.merged(batch_size=UNSET) is base
-        merged = base.merged(num_workers=2)
-        assert merged.batch_size == 8 and merged.num_workers == 2
-        with pytest.raises(ExecutionConfigError, match="batch_size"):
-            base.merged(batch_size=-5)
-        with pytest.raises(ExecutionConfigError, match="unknown"):
-            base.merged(warp_speed=9)
-
-    def test_merged_explicit_none_is_honoured(self):
-        base = ExecutionConfig(batch_size=8, num_workers=4)
-        merged = base.merged(batch_size=None, num_workers=None)
-        assert merged.batch_size is None
-        assert merged.num_workers is None
-
+class TestRngPolicy:
     def test_make_rng_policy(self):
         # Explicit rng wins; otherwise the config seed; otherwise the
         # historical seed-0 default.
@@ -123,183 +105,68 @@ class TestMergingAndRng:
         d = RandomState(0).integers(0, 1 << 30)
         assert c == d
 
+    @pytest.mark.parametrize("facade", ["ABae", "UniformSampler"])
+    @pytest.mark.parametrize("entry", ["estimate", "session"])
+    def test_facades_honour_config_seed(self, scenario, facade, entry):
+        """Facades seed from ``rng``, then ``seed``, then ``config.seed``."""
+        def estimate(**kwargs):
+            if facade == "ABae":
+                sampler = ABae(
+                    scenario.proxy, scenario.make_oracle(), scenario.statistic_values
+                )
+            else:
+                sampler = UniformSampler(
+                    scenario.num_records,
+                    scenario.make_oracle(),
+                    scenario.statistic_values,
+                )
+            if entry == "estimate":
+                return sampler.estimate(budget=150, **kwargs).estimate
+            return sampler.session(budget=150, **kwargs).run().estimate
 
-class TestLegacyKwargDeprecation:
-    """Old per-knob kwargs keep working — loudly."""
+        seeded = ExecutionConfig(seed=5)
+        first = estimate(config=seeded)
+        assert estimate(config=seeded) == first
+        assert estimate(rng=RandomState(5)) == first
+        # An explicit seed or rng beats the config's seed.
+        assert estimate(seed=6, config=seeded) == estimate(rng=RandomState(6))
+        assert estimate(rng=RandomState(6), config=seeded) == estimate(seed=6)
 
-    def _assert_warns_deprecated(self, fn):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            return fn()
 
-    def test_run_abae_legacy_kwargs_warn(self, scenario):
-        result = self._assert_warns_deprecated(
-            lambda: run_abae(
-                scenario.proxy,
-                scenario.make_oracle(),
-                scenario.statistic_values,
-                budget=120,
-                rng=RandomState(0),
-                batch_size=7,
-                num_workers=2,
-            )
-        )
-        assert result.oracle_calls == 120
+_KNOBS = ("batch_size", "num_workers", "parallel_backend")
+# Every per-knob kwarg that used to alias a config field.
+FORMER_ALIASES = [
+    (entry, knob)
+    for entries, knobs in (
+        (
+            (run_abae, run_uniform, run_abae_multipred, run_groupby_single_oracle,
+             run_groupby_multi_oracle, ABae, UniformSampler),
+            _KNOBS,
+        ),
+        (
+            (run_abae_sequential, run_abae_until_width),
+            ("oracle_batch_size", "num_workers", "parallel_backend"),
+        ),
+        ((ABae.estimate, UniformSampler.estimate), ("batch_size", "num_workers")),
+        ((plan_query, execute_query), ("batch_size", "num_workers", "plan_cache")),
+    )
+    for entry in entries
+    for knob in knobs
+]
 
-    def test_run_uniform_legacy_kwargs_warn(self, scenario):
-        self._assert_warns_deprecated(
-            lambda: run_uniform(
-                scenario.num_records,
-                scenario.make_oracle(),
-                scenario.statistic_values,
-                budget=60,
-                rng=RandomState(0),
-                batch_size=5,
-            )
-        )
 
-    def test_adaptive_legacy_kwargs_warn(self, scenario):
-        self._assert_warns_deprecated(
-            lambda: run_abae_sequential(
-                scenario.proxy,
-                scenario.make_oracle(),
-                scenario.statistic_values,
-                budget=150,
-                warmup_per_stratum=5,
-                rng=RandomState(0),
-                oracle_batch_size=16,
-            )
-        )
-        self._assert_warns_deprecated(
-            lambda: run_abae_until_width(
-                scenario.proxy,
-                scenario.make_oracle(),
-                scenario.statistic_values,
-                target_width=5.0,
-                max_budget=150,
-                num_bootstrap=20,
-                rng=RandomState(0),
-                num_workers=2,
-            )
-        )
+class TestRemovedAliases:
+    """``config=`` is the only way to set an execution knob."""
 
-    def test_facade_legacy_kwargs_warn(self, scenario):
-        self._assert_warns_deprecated(
-            lambda: ABae(
-                scenario.proxy,
-                scenario.make_oracle(),
-                scenario.statistic_values,
-                batch_size=4,
-            )
-        )
-        self._assert_warns_deprecated(
-            lambda: UniformSampler(
-                scenario.num_records,
-                scenario.make_oracle(),
-                scenario.statistic_values,
-                num_workers=2,
-            )
-        )
-
-    def test_planner_and_executor_legacy_kwargs_warn(self, scenario):
-        query = parse_query(QUERY)
-        plan = self._assert_warns_deprecated(
-            lambda: plan_query(query, batch_size=16)
-        )
-        assert plan.batch_size == 16
-        # Validation still lands as PlanningError after the warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(PlanningError, match="batch_size"):
-                plan_query(query, batch_size=0)
-
-    def test_warning_points_at_the_caller_line(self, scenario):
-        """Legacy-kwarg deprecations must carry the *caller's* location.
-
-        A warning attributed to ``repro/engine/config.py`` is useless —
-        the user cannot find which of their calls to fix.  Every public
-        entry point (and a direct ``resolve_execution_config`` call) must
-        attribute the warning to this test file.
-        """
-        entry_points = {
-            "resolve_execution_config": lambda: resolve_execution_config(
-                None, "direct", batch_size=7
-            ),
-            "run_abae": lambda: run_abae(
-                scenario.proxy, scenario.make_oracle(),
-                scenario.statistic_values, budget=60,
-                rng=RandomState(0), batch_size=7,
-            ),
-            "run_uniform": lambda: run_uniform(
-                scenario.num_records, scenario.make_oracle(),
-                scenario.statistic_values, budget=60,
-                rng=RandomState(0), num_workers=2,
-            ),
-            "run_abae_sequential": lambda: run_abae_sequential(
-                scenario.proxy, scenario.make_oracle(),
-                scenario.statistic_values, budget=100, warmup_per_stratum=4,
-                rng=RandomState(0), oracle_batch_size=8,
-            ),
-            "ABae.estimate": lambda: ABae(
-                scenario.proxy, scenario.make_oracle(),
-                scenario.statistic_values,
-            ).estimate(budget=60, rng=RandomState(0), batch_size=7),
-            "plan_query": lambda: plan_query(parse_query(QUERY), batch_size=7),
-        }
-        for name, invoke in entry_points.items():
-            with pytest.warns(DeprecationWarning, match="deprecated") as records:
-                invoke()
-            deprecations = [
-                r for r in records if issubclass(r.category, DeprecationWarning)
-            ]
-            assert deprecations, name
-            assert deprecations[0].filename == __file__, (
-                f"{name}: warning attributed to {deprecations[0].filename}, "
-                f"expected the caller's file {__file__}"
-            )
-
-    def test_config_path_is_silent(self, scenario):
-        """The modern config= path must emit no deprecation warnings at all."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            config = ExecutionConfig(batch_size=9, num_workers=2)
-            run_abae(
-                scenario.proxy,
-                scenario.make_oracle(),
-                scenario.statistic_values,
-                budget=120,
-                rng=RandomState(0),
-                config=config,
-            )
-            ABae(
-                scenario.proxy,
-                scenario.make_oracle(),
-                scenario.statistic_values,
-                config=config,
-            ).estimate(budget=100, rng=RandomState(1))
-            plan_query(parse_query(QUERY), config=config)
-
-    def test_internal_paths_do_not_warn(self, scenario):
-        """Engine-internal delegation never routes through legacy kwargs.
-
-        Group-by runs fan out into run_abae / run_uniform internally; an
-        internal legacy-kwarg call would spam (and eventually break) the
-        deprecation filter, so it is pinned to silence here.
-        """
-        from repro.core.groupby import GroupSpec, run_groupby_multi_oracle
-        from repro.synth import make_groupby_scenario
-
-        gb = make_groupby_scenario("synthetic", setting="multi", seed=1, size=4000)
-        specs = [GroupSpec(key=g, proxy=gb.proxies[g]) for g in gb.groups]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_groupby_multi_oracle(
-                specs,
-                gb.make_per_group_oracles(),
-                gb.statistic_values,
-                budget=400,
-                rng=RandomState(0),
-                config=ExecutionConfig(batch_size=32),
-            )
+    @pytest.mark.parametrize(
+        "entry, knob",
+        FORMER_ALIASES,
+        ids=[f"{entry.__qualname__}-{knob}" for entry, knob in FORMER_ALIASES],
+    )
+    def test_former_alias_raises_type_error(self, entry, knob):
+        # The unexpected keyword is rejected before any argument is used.
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{knob}'"):
+            entry(**{knob: 2})
 
 
 class TestFacadeConfigSurface:
@@ -310,10 +177,11 @@ class TestFacadeConfigSurface:
             scenario.statistic_values,
             config=ExecutionConfig(batch_size=3, num_workers=2),
         )
-        assert sampler.batch_size == 3
-        assert sampler.num_workers == 2
-        assert sampler.parallel_backend == "thread"
         assert sampler.config.batch_size == 3
+        assert sampler.config.num_workers == 2
+        assert sampler.config.parallel_backend == "thread"
+        for view in ("batch_size", "num_workers", "parallel_backend"):
+            assert not hasattr(sampler, view)
 
     def test_facade_sessions_validate_config_eagerly(self, scenario):
         # session() goes through the same shared validation path as
@@ -334,63 +202,8 @@ class TestFacadeConfigSurface:
         config = ExecutionConfig(batch_size=64, num_workers=4, plan_cache=False)
         plan = plan_query(parse_query(QUERY), config=config)
         assert plan.config is config
-        assert plan.batch_size == 64
-        assert plan.num_workers == 4
-        assert plan.plan_cache is False
-
-    def test_execute_query_config_matches_legacy(self, scenario):
-        from repro.query.executor import QueryContext
-
-        context = QueryContext(scenario.num_records)
-        context.register_statistic("views", scenario.statistic_values)
-        context.register_predicate(
-            "spam(msg) = 'yes'", scenario.make_oracle(), scenario.proxy,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = execute_query(
-                QUERY, context, seed=4, num_bootstrap=30, batch_size=17,
-                num_workers=2,
-            )
-        modern = execute_query(
-            QUERY, context, seed=4, num_bootstrap=30,
-            config=ExecutionConfig(batch_size=17, num_workers=2),
-        )
-        assert legacy.value == modern.value
-        assert (legacy.ci.lower, legacy.ci.upper) == (modern.ci.lower, modern.ci.upper)
-        assert legacy.oracle_calls == modern.oracle_calls
-
-
-class TestLegacyConfigFingerprintParity:
-    """Legacy kwargs and config= drive the exact same engine execution."""
-
-    def test_groupby_paths_bit_identical(self):
-        from harness import groupby_fingerprint
-        from repro.core.groupby import (
-            GroupSpec,
-            run_groupby_multi_oracle,
-            run_groupby_single_oracle,
-        )
-        from repro.synth import make_groupby_scenario
-
-        gb = make_groupby_scenario("synthetic", setting="single", seed=1, size=5000)
-        specs = [GroupSpec(key=g, proxy=gb.proxies[g]) for g in gb.groups]
-        for runner, oracle_factory in (
-            (run_groupby_single_oracle, gb.make_single_oracle),
-            (run_groupby_multi_oracle, gb.make_per_group_oracles),
-        ):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                legacy = runner(
-                    specs, oracle_factory(), gb.statistic_values, budget=500,
-                    rng=RandomState(3), batch_size=13, num_workers=2,
-                )
-            modern = runner(
-                specs, oracle_factory(), gb.statistic_values, budget=500,
-                rng=RandomState(3),
-                config=ExecutionConfig(batch_size=13, num_workers=2),
-            )
-            assert groupby_fingerprint(legacy) == groupby_fingerprint(modern)
+        for view in ("batch_size", "num_workers", "plan_cache"):
+            assert not hasattr(plan, view)
 
 
 class TestProgressCallback:
@@ -424,17 +237,14 @@ class TestProgressCallback:
 class TestResolveExecutionConfig:
     def test_rejects_non_config(self):
         with pytest.raises(ExecutionConfigError, match="ExecutionConfig"):
-            resolve_execution_config({"batch_size": 4}, "test")
+            resolve_execution_config({"batch_size": 4})
 
-    def test_default_base_used_for_overrides(self):
+    def test_config_replaces_default_whole(self):
         base = ExecutionConfig(batch_size=10, num_workers=3)
-        with pytest.warns(DeprecationWarning):
-            resolved = resolve_execution_config(
-                None, "test", default=base, batch_size=None
-            )
-        # Explicit None override wins; unrelated fields inherit the base.
-        assert resolved.batch_size is None
-        assert resolved.num_workers == 3
+        given = ExecutionConfig(batch_size=4)
+        assert resolve_execution_config(None, base) is base
+        assert resolve_execution_config(given, base) is given
+        assert resolve_execution_config(None) == ExecutionConfig()
 
 
 class TestErrorMessageContracts:

@@ -19,7 +19,6 @@ import pytest
 
 from repro.oracle import (
     AsyncOracle,
-    LatencyOracle,
     PendingOracleBatch,
     RemoteCallError,
     RemoteCallTimeout,
@@ -83,11 +82,6 @@ class TestSimulatedRemoteOracle:
         assert a == b
         assert set(a) == {"ok", "fail", "timeout"}
         assert outcomes(8) != a
-
-    def test_latency_oracle_is_zero_failure_subclass(self):
-        oracle = LatencyOracle(LABELS, 0.0, 0.0)
-        assert isinstance(oracle, SimulatedRemoteOracle)
-        assert list(oracle.evaluate_batch([0, 1])) == [True, False]
 
     def test_validation(self):
         with pytest.raises(ValueError):

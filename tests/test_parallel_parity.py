@@ -42,6 +42,7 @@ from repro.core.parallel import (
     shard_slices,
 )
 from repro.core.uniform import UniformSampler, run_uniform
+from repro.engine.config import ExecutionConfig
 from repro.oracle.budget import BudgetedOracle, OracleBudget
 from repro.oracle.cache import CachingOracle
 from repro.oracle.composite import AndOracle
@@ -82,8 +83,7 @@ class TestSamplerMatrix:
                 with_ci=True,
                 num_bootstrap=30,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -101,8 +101,7 @@ class TestSamplerMatrix:
                 with_ci=True,
                 num_bootstrap=30,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -118,8 +117,7 @@ class TestSamplerMatrix:
                 scenario.statistic_values,
                 budget=450,
                 rng=RandomState(seed),
-                oracle_batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -137,8 +135,7 @@ class TestSamplerMatrix:
                 max_budget=800,
                 num_bootstrap=60,
                 rng=RandomState(seed),
-                oracle_batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -160,8 +157,7 @@ class TestSamplerMatrix:
                 sc.statistic_values,
                 budget=500,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         # Fold the per-constituent short-circuit counts into the digest:
@@ -188,8 +184,7 @@ class TestSamplerMatrix:
                 budget=900,
                 allocation_method=allocation_method,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -213,8 +208,7 @@ class TestSamplerMatrix:
                 budget=900,
                 allocation_method=allocation_method,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -232,15 +226,14 @@ class TestFacadeAndExecutorMatrix:
             scenario.proxy,
             scenario.make_oracle(),
             scenario.statistic_values,
-            num_workers=4,
+            config=ExecutionConfig(num_workers=4),
         )
 
         def run(seed, batch_size, num_workers):
             return sampler.estimate(
                 budget=500,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -252,15 +245,14 @@ class TestFacadeAndExecutorMatrix:
             scenario.num_records,
             scenario.make_oracle(),
             scenario.statistic_values,
-            num_workers=2,
+            config=ExecutionConfig(num_workers=2),
         )
 
         def run(seed, batch_size, num_workers):
             return sampler.estimate(
                 budget=400,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -281,8 +273,7 @@ class TestFacadeAndExecutorMatrix:
                 query,
                 context,
                 seed=seed,
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
                 num_bootstrap=30,
             )
 
@@ -314,8 +305,7 @@ class TestWideMatrix:
                 with_ci=True,
                 num_bootstrap=200,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -333,9 +323,11 @@ class TestWideMatrix:
                 scenario.statistic_values,
                 budget=1_200,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
-                parallel_backend="process",
+                config=ExecutionConfig(
+                    batch_size=batch_size,
+                    num_workers=num_workers,
+                    parallel_backend="process",
+                ),
             )
 
         assert_statistically_equivalent(
@@ -363,10 +355,10 @@ class TestParallelPrimitives:
     def test_label_records_with_wrapped_oracle_parity(self, scenario):
         # The documented composition for direct label_records users: wrap
         # the oracle once, and every batch fans out with identical output.
-        from repro.core.abae import _normalize_statistic
+        from repro.engine.pipeline import normalize_statistic
 
         drawn = np.arange(0, 4_000, 7, dtype=np.int64)
-        statistic = _normalize_statistic(scenario.statistic_values)
+        statistic = normalize_statistic(scenario.statistic_values)
         baseline = None
         for workers in (None, 1, 2, 4):
             oracle = scenario.make_oracle()
@@ -552,13 +544,13 @@ class TestParallelPrimitives:
                 scenario.proxy,
                 scenario.make_oracle(),
                 scenario.statistic_values,
-                parallel_backend="thraed",
+                config=ExecutionConfig(parallel_backend="thraed"),
             ),
             lambda: UniformSampler(
                 scenario.num_records,
                 scenario.make_oracle(),
                 scenario.statistic_values,
-                parallel_backend="gpu",
+                config=ExecutionConfig(parallel_backend="gpu"),
             ),
         ):
             with pytest.raises(ValueError, match="backend"):
@@ -578,7 +570,7 @@ class TestParallelPrimitives:
                 scenario.statistic_values,
                 budget=300,
                 rng=rng,
-                num_workers=2,
+                config=ExecutionConfig(num_workers=2),
             ).estimate
 
         outcome = {}
