@@ -83,7 +83,8 @@ def optimal_stratified_mse(
     ``MSE = (sum_k sqrt(p_k) sigma_k)^2 / (N * p_all^2)``.
 
     Returns ``inf`` when ``p_all == 0`` (no stratum contains positives — the
-    query's predicate selects nothing and no sampling strategy can help).
+    query's predicate selects nothing and no sampling strategy can help),
+    and, without a warning, when the MSE overflows a float.
     """
     p_arr = np.asarray(p, dtype=float)
     sigma_arr = np.asarray(sigma, dtype=float)
@@ -94,8 +95,9 @@ def optimal_stratified_mse(
     denominator = budget * p_all**2
     if denominator == 0:
         return float("inf")
-    numerator = (np.sqrt(p_arr) * sigma_arr).sum() ** 2
-    return float(numerator / denominator)
+    with np.errstate(over="ignore"):
+        numerator = (np.sqrt(p_arr) * sigma_arr).sum() ** 2
+        return float(numerator / denominator)
 
 
 def uniform_sampling_mse(
@@ -110,6 +112,7 @@ def uniform_sampling_mse(
     overall variance includes the between-strata component (law of total
     variance); otherwise we use the p-weighted average of within-stratum
     variances, which is exact when all strata share the same mean.
+    An MSE that overflows a float is returned as ``inf`` without a warning.
     """
     p_arr = np.asarray(p, dtype=float)
     sigma_arr = np.asarray(sigma, dtype=float)
@@ -121,17 +124,18 @@ def uniform_sampling_mse(
         return float("inf")
     p_avg = p_all / p_arr.size
     weights = p_arr / p_all
-    within = float(np.dot(weights, sigma_arr**2))
-    if mu is not None:
-        mu_arr = np.asarray(mu, dtype=float)
-        if mu_arr.shape != p_arr.shape:
-            raise ValueError("mu must have the same shape as p")
-        overall_mean = float(np.dot(weights, mu_arr))
-        between = float(np.dot(weights, (mu_arr - overall_mean) ** 2))
-    else:
-        between = 0.0
-    overall_variance = within + between
-    return float(overall_variance / (budget * p_avg))
+    with np.errstate(over="ignore"):
+        within = float(np.dot(weights, sigma_arr**2))
+        if mu is not None:
+            mu_arr = np.asarray(mu, dtype=float)
+            if mu_arr.shape != p_arr.shape:
+                raise ValueError("mu must have the same shape as p")
+            overall_mean = float(np.dot(weights, mu_arr))
+            between = float(np.dot(weights, (mu_arr - overall_mean) ** 2))
+        else:
+            between = 0.0
+        overall_variance = within + between
+        return float(overall_variance / (budget * p_avg))
 
 
 def expected_speedup(

@@ -4,8 +4,10 @@ The per-stratum samples across both stages are i.i.d. within each stratum,
 so we resample *within each stratum* with replacement, recompute the
 combined estimate, and take empirical percentiles across bootstrap trials.
 The paper argues the bootstrap's CPU cost is negligible next to oracle
-calls; our implementation vectorizes the resampling so 1,000 trials over
-typical sample sizes run in milliseconds.
+calls.  Vectorized, 1,000 trials over a 10,000-draw sample take about
+100 ms of CPU on a 2-vCPU Intel Xeon (the traced ``abae_ci`` benchmark
+query), more than every other layer of that query together; see
+docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -40,10 +42,7 @@ def bootstrap_estimates(
     yields a positive record produce an estimate of 0.0, mirroring the point
     estimator's convention.
     """
-    if num_bootstrap <= 0:
-        raise ValueError(f"num_bootstrap must be positive, got {num_bootstrap}")
-    if not samples:
-        raise ValueError("bootstrap requires at least one stratum of samples")
+    _check_inputs(samples, num_bootstrap)
     rng = rng or RandomState(0)
     p_star, mu_star = _per_stratum_bootstrap(samples, num_bootstrap, rng)
     denominators = p_star.sum(axis=1)
@@ -68,6 +67,16 @@ def bootstrap_confidence_interval(
     return ConfidenceInterval(lower=lower, upper=upper, alpha=alpha)
 
 
+def _check_inputs(samples: Sequence[StratumSample], num_bootstrap: int) -> None:
+    """Typed errors for a bad resample count or an empty stratum list."""
+    if isinstance(num_bootstrap, bool) or not isinstance(num_bootstrap, (int, np.integer)):
+        raise ValueError(f"num_bootstrap must be an integer, got {num_bootstrap!r}")
+    if num_bootstrap <= 0:
+        raise ValueError(f"num_bootstrap must be positive, got {num_bootstrap}")
+    if not samples:
+        raise ValueError("bootstrap requires at least one stratum of samples")
+
+
 def _per_stratum_bootstrap(
     samples: Sequence[StratumSample],
     num_bootstrap: int,
@@ -82,11 +91,14 @@ def _per_stratum_bootstrap(
         if n == 0:
             # Nothing was drawn from this stratum; it contributes p* = 0.
             continue
-        matches = sample.matches.astype(float)
-        values = np.where(sample.matches, sample.values, 0.0)
-        # (num_bootstrap, n) index matrix of resampled positions.
+        # (num_bootstrap, n) index matrix of resampled positions, drawn for
+        # every non-empty stratum so later strata see the same stream.
         resample_idx = rng.integers(0, n, size=(num_bootstrap, n))
-        positives, sums = bootstrap_resample_stats(matches, values, resample_idx)
+        if not sample.matches.any():
+            # No trial can resample a positive: p* = mu* = 0, as initialized.
+            continue
+        values = np.where(sample.matches, sample.values, 0.0)
+        positives, sums = bootstrap_resample_stats(sample.matches, values, resample_idx)
         p_star[:, k] = positives / n
         mu_star[:, k] = np.where(positives > 0, sums / np.maximum(positives, 1), 0.0)
     return p_star, mu_star
@@ -111,10 +123,7 @@ def bootstrap_aggregate_estimates(
     """
     if kind not in ("avg", "sum", "count"):
         raise ValueError(f"kind must be 'avg', 'sum' or 'count', got {kind!r}")
-    if num_bootstrap <= 0:
-        raise ValueError(f"num_bootstrap must be positive, got {num_bootstrap}")
-    if not samples:
-        raise ValueError("bootstrap requires at least one stratum of samples")
+    _check_inputs(samples, num_bootstrap)
     sizes = np.asarray(stratum_sizes, dtype=float)
     if sizes.shape[0] != len(samples):
         raise ValueError("stratum_sizes must have one entry per stratum")

@@ -152,16 +152,18 @@ def bootstrap_resample_stats(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-trial positive counts and positive-value sums for one stratum.
 
-    ``matches`` is the stratum's 0/1 match column (float), ``values`` its
-    statistic column with unmatched entries already zeroed, and
+    ``matches`` is the stratum's boolean match column, ``values`` its
+    statistic column with every unmatched entry zeroed, and
     ``resample_idx`` the ``(num_bootstrap, n)`` resampled position
-    matrix.  Row reductions use NumPy's pairwise summation — part of the
-    bitwise contract (see module docstring).
+    matrix.  Positives are counted on the boolean gather (an integer
+    count per trial).  Because ``values`` is zero wherever there is no
+    match, the positive-value sum is the plain row sum of the gathered
+    values: no product with the match column is needed.  That row sum
+    uses NumPy's pairwise summation, which is part of the bitwise
+    contract (see module docstring).
     """
-    resampled_matches = matches[resample_idx]
-    resampled_values = values[resample_idx]
-    positives = resampled_matches.sum(axis=1)
-    sums = (resampled_values * resampled_matches).sum(axis=1)
+    positives = np.count_nonzero(matches[resample_idx], axis=1)
+    sums = values[resample_idx].sum(axis=1)
     return positives, sums
 
 

@@ -1,5 +1,7 @@
 """Tests for repro.core.estimators and repro.core.allocation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,28 @@ class TestMseFormulas:
     def test_zero_positive_rate_infinite(self):
         assert optimal_stratified_mse([0.0, 0.0], [1.0, 1.0], 10) == float("inf")
         assert uniform_sampling_mse([0.0, 0.0], [1.0, 1.0], 10) == float("inf")
+
+    @pytest.mark.parametrize(
+        "p, sigma, budget",
+        [
+            ([0.5, 0.5], [1e200, 1.0], 10),  # sigma squared overflows
+            ([1e-150, 0.0], [1e100, 1.0], 10),  # the final division overflows
+        ],
+    )
+    def test_overflow_returns_inf_without_warning(self, p, sigma, budget):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert uniform_sampling_mse(p, sigma, budget) == float("inf")
+            assert uniform_sampling_mse(
+                p, sigma, budget, mu=[0.0, 1.0]
+            ) == float("inf")
+            assert optimal_stratified_mse(p, sigma, budget) == float("inf")
+
+    def test_finite_results_unchanged_by_overflow_guard(self):
+        # Exact closed forms: (sqrt(.25) * 2 + sqrt(.25) * 4)^2 / (10 * .5^2)
+        # and the p-weighted variance (4 + 16) / 2 over 10 * p_avg.
+        assert optimal_stratified_mse([0.25, 0.25], [2.0, 4.0], 10) == 3.6
+        assert uniform_sampling_mse([0.25, 0.25], [2.0, 4.0], 10) == 4.0
 
     def test_invalid_budget_raises(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 Hypothesis property tests for the parity edge cases of the ported loops
 (zero draws, exhausted strata, single-record strata, empty groups), the
+bootstrap core's bitwise agreement with its float-product reference, the
 conservation laws of the integer spreads, and checkpoint roundtrips of
 the stratum pool, including states written by older checkpoints.
 """
@@ -16,7 +17,12 @@ from hypothesis import given, settings, strategies as st
 from repro.engine.pipeline import StratumPool
 from repro.engine.policies import marginal_variance_reduction
 from repro.core.types import StratumSample
-from repro.kernels import bucket_by_stratum, floor_spread, largest_remainder
+from repro.kernels import (
+    bootstrap_resample_stats,
+    bucket_by_stratum,
+    floor_spread,
+    largest_remainder,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +224,51 @@ class TestPriorityParity:
         np.testing.assert_array_equal(
             marginal_variance_reduction(samples), np.ones(4)
         )
+
+
+@st.composite
+def resample_case(draw):
+    """A stratum's match/value columns plus a resample index matrix."""
+    n = draw(st.sampled_from([1, 2]) | st.integers(min_value=1, max_value=40))
+    matches = np.asarray(
+        draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool
+    )
+    raw = np.asarray(
+        draw(
+            st.lists(
+                st.floats(-1e6, 1e6) | st.sampled_from([np.nan, np.inf, -np.inf, -0.0]),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        dtype=float,
+    )
+    num_bootstrap = draw(st.integers(min_value=1, max_value=30))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    resample_idx = np.random.default_rng(seed).integers(
+        0, n, size=(num_bootstrap, n)
+    )
+    return matches, np.where(matches, raw, 0.0), resample_idx
+
+
+class TestBootstrapResampleParity:
+    @settings(max_examples=100, deadline=None)
+    @given(resample_case())
+    def test_matches_the_float_product_reference(self, case):
+        matches, values, resample_idx = case
+        # The earlier formula: a float 0/1 gather, summed, and the value
+        # gather multiplied by it before the row sum.
+        mf = matches.astype(float)
+        expected_positives = mf[resample_idx].sum(axis=1)
+        with np.errstate(invalid="ignore"):
+            expected_sums = (values[resample_idx] * mf[resample_idx]).sum(axis=1)
+        with np.errstate(invalid="ignore"):
+            positives, sums = bootstrap_resample_stats(matches, values, resample_idx)
+        np.testing.assert_array_equal(positives, expected_positives)
+        assert (positives / matches.size).tobytes() == (
+            expected_positives / matches.size
+        ).tobytes()
+        assert sums.tobytes() == expected_sums.tobytes()
 
 
 # ---------------------------------------------------------------------------
